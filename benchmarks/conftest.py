@@ -11,6 +11,7 @@ perf runs are diffable against each other (see docs/observability.md).
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,10 @@ from repro.obs import MetricsRegistry, build_manifest, get_registry, set_registr
 from repro.stats.verification import VerificationStats
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The differential oracles (tests/prefix_oracle.py) are shared with the
+# test suite; appended so this directory's conftest still wins.
+sys.path.append(str(Path(__file__).parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -11,13 +11,14 @@ Four comparisons over the mid-scale benchmark world:
   (ancestor miss);
 * **route-set op index** — :meth:`PrefixOpIndex.matches` (flat op
   planes) against the preserved dict-walk oracle;
-* **warm start** — attaching the format-2 mmap envelope against
+* **warm start** — attaching the mmap envelope against
   unpickling the whole artifact, measured with a production-scale
   (~100k-prefix) route table spliced into the compiled index;
 * **end-to-end verify** — full verification flat engine vs legacy
   engine, the bit-identity gate.
 
-Every comparison hard-asserts identical answers; timing floors only fail
+The legacy engine is the oracle in ``tests/prefix_oracle.py``.  Every
+comparison hard-asserts identical answers; timing floors only fail
 under ``RPSLYZER_PERF_STRICT`` (the perf-regression CI job sets it).  The
 measured ratios accumulate into ``benchmarks/results/BENCH_prefix_engine.json``,
 which ``scripts/check_perf_regression.py`` diffs against
@@ -33,6 +34,7 @@ import time
 
 import pytest
 from conftest import RESULTS_DIR, emit
+from prefix_oracle import install_naive_routes, matches_naive, naive_routes
 
 from repro.core.compiled import compile_index, load_index, save_index
 from repro.core.parallel import verify_table
@@ -111,8 +113,8 @@ def _family_probes(routes, version, count):
 
 
 def test_prefix_match_microbenchmark(ir, routes):
-    flat = QueryEngine(ir, prefix_engine="trie").routes
-    naive = QueryEngine(ir, prefix_engine="naive").routes
+    flat = QueryEngine(ir).routes
+    naive = naive_routes(ir)
 
     def run(engine, probes):
         answers = []
@@ -180,7 +182,9 @@ def test_route_set_op_index_vs_dict_walk(routes):
         ]
 
     flat_s, flat_answers = _best_of(3, lambda: run(index.matches))
-    naive_s, naive_answers = _best_of(3, lambda: run(index._matches_naive))
+    naive_s, naive_answers = _best_of(
+        3, lambda: run(lambda probe, override: matches_naive(index, probe, override))
+    )
     assert flat_answers == naive_answers
 
     speedup = naive_s / flat_s
@@ -244,19 +248,19 @@ def test_warm_start_mmap_vs_pickle(ir, tmp_path_factory):
         assert speedup >= 2.0, f"mmap attach only {speedup:.2f}x over unpickle"
 
 
-def test_end_to_end_verify_identical_and_recorded(ir, world, routes, monkeypatch):
+def test_end_to_end_verify_identical_and_recorded(ir, world, routes):
     sample = routes[:3000]
 
+    # Built untimed: the timed run covers the legacy engine's own build
+    # and the verification, not the trie this verifier starts with.
+    verifier = Verifier(ir, world.topology)
+
     def run_legacy():
-        monkeypatch.setenv("RPSLYZER_PREFIX_ENGINE", "naive")
-        try:
-            verifier = Verifier(ir, world.topology)
-            stats = VerificationStats()
-            for entry in sample:
-                stats.add_report(verifier.verify_entry(entry))
-            return stats
-        finally:
-            monkeypatch.delenv("RPSLYZER_PREFIX_ENGINE")
+        install_naive_routes(verifier)
+        stats = VerificationStats()
+        for entry in sample:
+            stats.add_report(verifier.verify_entry(entry))
+        return stats
 
     index = compile_index(ir)
     legacy_s, legacy = _best_of(1, run_legacy)

@@ -114,7 +114,7 @@ class Bgpq4Resolver:
 
     def _asn_prefixes(self, asn: int) -> set[Prefix]:
         # One bisect + span read on the trie backend; no full-table
-        # reconstruction (query.origin_prefixes) for a single ASN.
+        # scan for a single ASN.
         return {Prefix(*key) for key in self.query.routes.origin_keys(asn)}
 
     def _route_set_prefixes(self, name: str) -> set[Prefix]:

@@ -1016,7 +1016,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--incident-dir",
         metavar="DIR",
-        help="write flight incident dumps here (default: working directory)",
+        help="write flight incident dumps here (default: incidents/ under "
+        "the index cache directory)",
     )
     serve.add_argument(
         "--no-telemetry",

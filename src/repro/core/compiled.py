@@ -24,8 +24,8 @@ zero.  This module adds the missing compilation pass:
   over the same IR start warm too (``rpslyzer compile`` /
   ``--no-index-cache`` are the CLI knobs).
 
-The on-disk envelope (format 2) is *flat*: a JSON header describing the
-trie planes, the plane bytes 16-aligned, then one pickle blob for the
+The on-disk envelope (format 3) is *flat*: a JSON header describing the
+trie's hash planes, the plane bytes 16-aligned, then one pickle blob for the
 residual tables.  :func:`load_index` maps the file with ``mmap`` and
 casts the planes to zero-copy memoryviews — warm start skips
 deserializing the largest tables entirely, and the pages stay shared
@@ -64,6 +64,7 @@ from repro.core.query import (
 from repro.ir import serialize
 from repro.ir.json_io import ir_to_jsonable  # noqa: F401 - registers IR classes
 from repro.ir.model import Ir
+from repro.irr.journal import _cached_route_index
 from repro.net.prefix import Prefix, PrefixError
 from repro.obs import get_registry
 from repro.rpsl.aspath import AsPathRegexNode
@@ -90,9 +91,12 @@ __all__ = [
 # incompatibly; mismatched cache files are recompiled, never half-read.
 # Format 2: flat mmap-able envelope (magic + JSON header + aligned plane
 # region + residual pickle) replacing the format-1 whole-pickle envelope.
-INDEX_FORMAT = "rpslyzer-compiled-index/2"
+# Format 3: the same envelope without the patricia node planes; the hash
+# planes are the only prefix structure.  A new magic keeps a format-2
+# file from ever being read as format 3.
+INDEX_FORMAT = "rpslyzer-compiled-index/3"
 
-_MAGIC = b"RPSLIDX2"
+_MAGIC = b"RPSLIDX3"
 _ALIGN = 16  # plane alignment; mmap bases are page-aligned so this holds
 _MAX_HEADER_BYTES = 1 << 24
 
@@ -169,7 +173,6 @@ class CompiledIndex:
         return {
             "route_index": trie_stats["prefixes"],
             "origins": trie_stats["origins"],
-            "trie_nodes": trie_stats["nodes"],
             "plane_bytes": trie_stats["plane_bytes"],
             "as_sets": len(self.as_sets),
             "route_sets": len(self.route_sets),
@@ -273,15 +276,14 @@ def compile_index(ir: Ir, *, digest: str | None = None) -> CompiledIndex:
     The pass drives the ordinary :class:`QueryEngine`/:class:`AsPathMatcher`
     resolution code eagerly over every referenced name, then captures the
     resulting tables — so compiled lookups are the lazy path's answers,
-    computed once.  The route trie is always built here (regardless of
-    ``RPSLYZER_PREFIX_ENGINE``) and every resolved route-set's member
-    index is frozen into its flat-plane form, so the artifact carries no
-    lazy state.
+    computed once.  The route trie is built here and every resolved
+    route-set's member index is frozen into its flat-plane form, so the
+    artifact carries no lazy state.
     """
     registry = get_registry()
     started = time.perf_counter()
     with registry.span("compile/index"):
-        engine = QueryEngine(ir, prefix_engine="trie")
+        engine = QueryEngine(ir)
         matcher = AsPathMatcher(engine)
         refs = _collect_references(ir)
         for name in sorted(refs.as_sets):
@@ -453,9 +455,18 @@ def patch_index(
             for key, e in zip(route_keys, route_entries)
             if e.action in ("DEL", "MOD")
         }
-        if retired:
-            # Old-side member_of for retired routes: one pass, origin-int
-            # prefiltered so the common row costs a set probe, not a key.
+        # The replay's per-snapshot route indexes, keyed like route_keys;
+        # absent when an IR did not come out of (or go into) a replay.
+        old_routes = _cached_route_index(old_ir)
+        new_routes = _cached_route_index(new_ir)
+        if retired and old_routes is not None:
+            # Old-side member_of for retired routes: key probes.
+            for key in retired:
+                for route in old_routes[0].get(key, ()):
+                    rs_byref_dirty.update(route.member_of)
+        elif retired:
+            # No index: one pass, origin-int prefiltered so the common
+            # row costs a set probe, not a key.
             retired_origins = {key[1] for key in retired}
             for route in old_ir.route_objects:
                 if route.member_of and route.origin in retired_origins:
@@ -504,7 +515,15 @@ def patch_index(
             (key[0], key[1]) for key in route_keys
         }
         present: set[tuple[Prefix, int]] = set()
-        if touched_pairs or rs_targets:
+        if touched_pairs and not rs_targets and new_routes is not None:
+            # A pair is present iff some source still declares it.
+            routes, sources = new_routes
+            present = {
+                pair
+                for pair in touched_pairs
+                if any((pair[0], pair[1], source) in routes for source in sources)
+            }
+        elif touched_pairs or rs_targets:
             touched_origins = {origin for _, origin in touched_pairs}
             for route in new_ir.route_objects:
                 if rs_targets and route.member_of:
@@ -671,7 +690,7 @@ def _library_version() -> str:
 def save_index(index: CompiledIndex, path: str | Path) -> None:
     """Persist an artifact atomically (write-temp-then-rename).
 
-    Layout: ``RPSLIDX2`` magic, a little-endian header length, the JSON
+    Layout: ``RPSLIDX3`` magic, a little-endian header length, the JSON
     header (format / library version / IR digest / trie meta / plane
     directory), then the 16-aligned plane region with the residual
     pickle blob at its tail.  :func:`load_index` refuses anything whose
@@ -742,7 +761,8 @@ def load_index(path: str | Path, expect_digest: str | None = None) -> CompiledIn
     try:
         head = stream.read(lead)
         if len(head) < lead or head[: len(_MAGIC)] != _MAGIC:
-            # Format-1 envelopes (plain pickle) land here too: recompile.
+            # Format-1 (plain pickle) and format-2 envelopes land here
+            # too: recompile.
             raise IndexCacheError(f"{path}: not a compiled index (bad magic)")
         header_len = int.from_bytes(head[len(_MAGIC) :], "little")
         if not 0 < header_len <= _MAX_HEADER_BYTES:

@@ -190,29 +190,34 @@ def _entry_fast_key(key: object) -> tuple | None:
         return None
 
 
-# Per-snapshot route indexes: id(ir) -> (weakref to the ir, index).  The
-# index maps _fast_route_key -> tuple of live RouteObject copies (keyed
-# collapse groups duplicates, the tuple preserves multiplicity).  Entries
-# die with their IR via weakref.finalize, so a long-running session holds
-# at most one index per live snapshot; apply_journal_to_ir derives the
-# next snapshot's index from the previous one with an O(delta) update
-# instead of an O(table) rescan — the heart of the millisecond delta path.
+# Per-snapshot route indexes: id(ir) -> (weakref to the ir, index,
+# sources).  The index maps _fast_route_key -> tuple of live RouteObject
+# copies (keyed collapse groups duplicates, the tuple preserves
+# multiplicity); ``sources`` holds every source its keys name (a superset
+# once deletions retire a source's last route), so "does any source still
+# declare this (prefix, origin)" is a handful of key probes.  Entries die
+# with their IR via weakref.finalize, so a long-running session holds at
+# most one index per live snapshot; apply_journal_to_ir derives the next
+# snapshot's index from the previous one with an O(delta) update instead
+# of an O(table) rescan — the heart of the millisecond delta path, which
+# patch_index reads too.
 _ROUTE_INDEX_CACHE: dict[int, tuple] = {}
 
 
-def _cached_route_index(ir: Ir) -> dict | None:
+def _cached_route_index(ir: Ir) -> tuple[dict, frozenset] | None:
+    """``(index, sources)`` for a snapshot a replay produced or read."""
     entry = _ROUTE_INDEX_CACHE.get(id(ir))
     if entry is not None and entry[0]() is ir:
-        return entry[1]
+        return entry[1], entry[2]
     return None
 
 
-def _remember_route_index(ir: Ir, index: dict) -> None:
+def _remember_route_index(ir: Ir, index: dict, sources: frozenset) -> None:
     try:
         ref = weakref.ref(ir)
     except TypeError:  # no weakref support: skip caching, stay correct
         return
-    _ROUTE_INDEX_CACHE[id(ir)] = (ref, index)
+    _ROUTE_INDEX_CACHE[id(ir)] = (ref, index, sources)
     weakref.finalize(ir, _ROUTE_INDEX_CACHE.pop, id(ir), None)
 
 
@@ -326,6 +331,7 @@ def apply_journal_to_ir(
 
     patched = _shallow_copy_ir(ir)
     new_index: dict[tuple, tuple] | None = None
+    sources: frozenset = frozenset()
     removed_ids: set[int] = set()
 
     def route_index() -> dict[tuple, tuple]:
@@ -334,12 +340,15 @@ def apply_journal_to_ir(
         # DEL/MOD must retire every live copy at once.  The base index is
         # recalled from the per-snapshot cache when this IR came out of a
         # previous apply — then the whole replay is O(delta), not O(table).
-        nonlocal new_index
+        nonlocal new_index, sources
         if new_index is None:
-            base = _cached_route_index(ir)
-            if base is None:
+            cached = _cached_route_index(ir)
+            if cached is None:
                 base = _build_route_index(ir)
-                _remember_route_index(ir, base)
+                sources = frozenset(key[2] for key in base)
+                _remember_route_index(ir, base, sources)
+            else:
+                base, sources = cached
             new_index = dict(base)
         return new_index
 
@@ -434,12 +443,15 @@ def apply_journal_to_ir(
                         detail=f"{entry.cls} {key!r} serial {entry.serial}",
                     )
                 table[key] = entry.obj
-    if removed_ids or appended:
+    if removed_ids:
         patched.route_objects = [
             route for route in patched.route_objects if id(route) not in removed_ids
         ] + [route for route in appended if id(route) not in removed_ids]
+    else:
+        patched.route_objects.extend(appended)  # already a fresh copy
     if new_index is not None:
-        _remember_route_index(patched, new_index)
+        sources = sources.union(route.source for route in appended)
+        _remember_route_index(patched, new_index, sources)
     return patched, report
 
 

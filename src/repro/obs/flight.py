@@ -100,7 +100,8 @@ class FlightRecorder:
     """An always-on bounded ring of serve lifecycle events.
 
     ``capacity`` bounds the ring; ``incident_dir`` is where incident
-    dumps land (defaults to the working directory).  Recording is
+    dumps land (defaults to the working directory; the serve daemon
+    passes ``incidents/`` under the index cache directory).  Recording is
     thread-safe — events arrive from the event loop, batch executor
     threads, and the supervisor's monitor thread.
     """

@@ -184,7 +184,7 @@ def cache_summary(manifest: dict, cache_dir: str | Path | None = None) -> dict:
         "index_cache_hits": index_hits,
         "index_cache_misses": index_misses,
         "index_compile_seconds": gauge("index_compile_seconds"),
-        # mmap-load figures (format-2 flat envelope): how long attaching
+        # mmap-load figures (flat envelope): how long attaching
         # the cached artifact took and how many bytes stayed file-backed.
         "index_load_seconds": gauge("index_load_seconds"),
         "index_mmap_bytes": gauge("index_mmap_bytes"),

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.api import Session
+from repro.core.compiled import default_cache_dir
 from repro.core.degradation import DegradationReport
 from repro.irr.journal import Journal
 from repro.core.report import RouteReport
@@ -150,7 +151,8 @@ class ServeConfig:
     milliseconds to the slow-query log (``<access_log>.slow``) and the
     flight recorder; ``flight_events`` sizes the always-on flight ring
     (0 disables it); ``incident_dir`` is where incident dumps land
-    (default: the working directory).
+    (default: ``incidents/`` under the index cache directory, see
+    :func:`~repro.core.compiled.default_cache_dir`).
     """
 
     host: str = "127.0.0.1"
@@ -342,7 +344,8 @@ class VerifyService:
         elif self.config.flight_events > 0:
             self.flight = FlightRecorder(
                 capacity=self.config.flight_events,
-                incident_dir=self.config.incident_dir,
+                incident_dir=self.config.incident_dir
+                or default_cache_dir() / "incidents",
             )
             # Session-level access: session.flight_events() reads the
             # same ring the daemon records into.

@@ -24,6 +24,18 @@ settings.register_profile("nightly", max_examples=2000, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_cache_dir(tmp_path_factory):
+    """Point the index cache — and the serve daemon's default incident
+    directory under it — at a per-session temp dir, so no test writes
+    into the user's ``~/.cache/rpslyzer`` (subprocesses inherit it)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "RPSLYZER_CACHE_DIR", str(tmp_path_factory.mktemp("rpslyzer-cache"))
+        )
+        yield
+
+
 @pytest.fixture(scope="session")
 def tiny_world():
     """A deterministic ~60-AS world with IRR dumps and collectors."""

@@ -7,7 +7,6 @@ import pytest
 
 import repro
 from repro import api
-from repro.bgp.routegen import collector_routes
 from repro.stats.verification import VerificationStats
 
 
@@ -16,7 +15,6 @@ class TestFacadeExports:
         for name in (
             "synthesize",
             "parse_dumps",
-            "verify_table",
             "characterize",
             "VerifyOptions",
             "VerificationStats",
@@ -28,9 +26,14 @@ class TestFacadeExports:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_removed_shims_stay_removed(self):
+        for name in ("verify_table", "explain_route", "serve_whois"):
+            assert not hasattr(api, name), name
+            assert name not in repro.__all__
+
     def test_facade_matches_api_module(self):
-        assert repro.verify_table is api.verify_table
         assert repro.parse_dumps is api.parse_dumps
+        assert repro.open_session is api.open_session
 
 
 class TestCliImportHygiene:
@@ -121,35 +124,10 @@ class TestVerifyTable:
         report = verifier.verify_entry(entry)
         assert report.entry is entry
 
-
-class TestDeprecatedShims:
-    def test_verify_table_warns_and_matches_session(
-        self, tiny_ir, tiny_world, tiny_routes
-    ):
-        with pytest.deprecated_call():
-            stats = api.verify_table(
-                tiny_ir, tiny_world.topology, tiny_routes[:30], processes=1
-            )
-        with api.Session(tiny_ir, tiny_world.topology) as session:
-            expected = session.verify_table(tiny_routes[:30], processes=1)
-        assert stats.summary() == expected.summary()
-
-    def test_explain_route_warns_and_matches_session(
-        self, tiny_ir, tiny_world, tiny_routes
-    ):
-        entry = tiny_routes[0]
-        with pytest.deprecated_call():
-            report, events = api.explain_route(
-                tiny_ir, tiny_world.topology, str(entry.prefix), entry.as_path
-            )
-        with api.Session(tiny_ir, tiny_world.topology) as session:
-            expected, _ = session.explain(str(entry.prefix), entry.as_path)
-        assert str(report) == str(expected)
-        assert events
-
-    def test_serve_whois_warns(self, tiny_ir):
-        with pytest.deprecated_call():
-            server = api.serve_whois(tiny_ir)
+    def test_session_whois_server_outlives_session(self, tiny_ir):
+        with api.Session(tiny_ir) as session:
+            server = session.whois_server()
+        assert server.port > 0
         server.stop()  # never started; must still release the socket
 
 

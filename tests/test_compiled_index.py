@@ -16,10 +16,12 @@ import os
 import pickle
 
 import pytest
+from prefix_oracle import install_naive_routes, verify_naive
 
 from repro.bgp.routegen import collector_routes
 from repro.chaos.faults import KillWorkerChunk
 from repro.core.compiled import (
+    INDEX_FORMAT,
     CompiledIndex,
     IndexCacheError,
     compile_index,
@@ -194,6 +196,31 @@ class TestOnDiskCache:
         assert index.stats()["route_index"] > 0
         # ... and the recompile heals the cache entry in place.
         assert load_index(path).stats() == index.stats()
+
+    def test_format_2_artifact_is_refused_and_recompiled(self, tiny_ir, tmp_path):
+        """A cache entry in the previous envelope (format 2: the same
+        layout plus patricia node planes) is never read as format 3."""
+        assert INDEX_FORMAT == "rpslyzer-compiled-index/3"
+        digest = ir_digest(tiny_ir)
+        path = index_cache_path(digest, tmp_path)
+        save_index(compile_index(tiny_ir, digest=digest), path)
+        current = path.read_bytes()
+        stale = current.replace(b"RPSLIDX3", b"RPSLIDX2", 1).replace(
+            b"rpslyzer-compiled-index/3", b"rpslyzer-compiled-index/2", 1
+        )
+        path.write_bytes(stale)
+        with pytest.raises(IndexCacheError, match="bad magic"):
+            load_index(path, expect_digest=digest)
+        # A format-2 header behind the current magic is refused as well.
+        path.write_bytes(stale.replace(b"RPSLIDX2", b"RPSLIDX3", 1))
+        with pytest.raises(IndexCacheError, match="format='rpslyzer-compiled-index/2'"):
+            load_index(path, expect_digest=digest)
+        path.write_bytes(stale)
+        with use_registry(MetricsRegistry()) as registry:
+            healed = get_or_compile(tiny_ir, cache_dir=tmp_path)
+            assert registry.counter("index_cache_total", result="miss").value == 1
+        assert path.read_bytes()[:8] == b"RPSLIDX3"
+        assert load_index(path, expect_digest=digest).stats() == healed.stats()
 
     def test_use_cache_false_never_touches_disk(self, tiny_ir, tmp_path):
         get_or_compile(tiny_ir, cache_dir=tmp_path, use_cache=False)
@@ -431,14 +458,15 @@ _DIFF_SEEDS = int(os.environ.get("RPSLYZER_DIFF_SEEDS", "2"))
 class TestTrieLegacyDifferential:
     """The trie engine is bit-identical to the legacy dict engine.
 
-    Each seed builds a fresh synthetic world; the legacy engine runs via
-    ``RPSLYZER_PREFIX_ENGINE=naive`` on the lazy path, the trie engine
-    both serially (compiled index) and pooled.  Nightly CI raises
+    Each seed builds a fresh synthetic world; the legacy engine (the
+    oracle in ``prefix_oracle``, installed on a lazy verifier) runs
+    serially, the trie engine serially (compiled index), pooled, and
+    pooled with a worker killed mid-run.  Nightly CI raises
     ``RPSLYZER_DIFF_ROUTES`` and ``RPSLYZER_DIFF_SEEDS``.
     """
 
     @pytest.mark.parametrize("seed", [7700 + i for i in range(_DIFF_SEEDS)])
-    def test_trie_matches_legacy_serial_and_pooled(self, seed, monkeypatch):
+    def test_trie_matches_legacy_serial_and_pooled(self, seed):
         world = build_world(tiny_config(seed=seed))
         ir = world.registry().merged()
         routes = list(
@@ -446,9 +474,7 @@ class TestTrieLegacyDifferential:
         )[:_DIFF_ROUTES]
         assert routes, "world produced no collector routes"
 
-        monkeypatch.setenv("RPSLYZER_PREFIX_ENGINE", "naive")
-        legacy = verify_table(ir, world.topology, routes, processes=1)
-        monkeypatch.delenv("RPSLYZER_PREFIX_ENGINE")
+        legacy = verify_naive(ir, world.topology, routes)
 
         index = compile_index(ir, digest=ir_digest(ir))
         trie_serial = verify_table(
@@ -466,17 +492,29 @@ class TestTrieLegacyDifferential:
         )
         _assert_stats_equal(pooled, legacy)
 
-    def test_per_route_reports_identical_across_engines(self, monkeypatch):
+        chaotic = verify_table(
+            ir,
+            world.topology,
+            routes,
+            processes=2,
+            chunk_size=max(1, len(routes) // 4),
+            index=index,
+            fault_hook=KillWorkerChunk(1),
+        )
+        # Degradation events differ by design; every aggregate is exact.
+        assert chaotic.degradation.events()
+        chaotic.degradation = legacy.degradation
+        _assert_stats_equal(chaotic, legacy)
+
+    def test_per_route_reports_identical_across_engines(self):
         world = build_world(tiny_config(seed=7790))
         ir = world.registry().merged()
         routes = list(
             collector_routes(world.topology, world.announced, world.collectors)
         )[: min(500, _DIFF_ROUTES)]
 
-        monkeypatch.setenv("RPSLYZER_PREFIX_ENGINE", "naive")
-        legacy = Verifier(ir, world.topology)
+        legacy = install_naive_routes(Verifier(ir, world.topology))
         legacy_reports = [legacy.verify_entry(entry) for entry in routes]
-        monkeypatch.delenv("RPSLYZER_PREFIX_ENGINE")
 
         trie = Verifier(ir, world.topology, index=compile_index(ir))
         for entry, expected in zip(routes, legacy_reports):

@@ -19,6 +19,7 @@ from repro.bgp.routegen import collector_routes
 from repro.chaos.faults import KillWorkerChunk
 from repro.core.compiled import compile_index, ir_digest, patch_index
 from repro.core.prefixtrie import RouteTrieBuilder
+from repro.ir.model import Ir
 from repro.irr.history import ChurnConfig, evolve_with_journal
 from repro.irr.journal import Journal, JournalEntry, apply_journal_to_ir
 from repro.net.prefix import Prefix
@@ -210,6 +211,41 @@ class TestPatchIndex:
         patched = patch_index(index, seed_ir, new_ir, journal)
         fresh = compile_index(new_ir, digest=ir_digest(new_ir))
         _assert_equivalent(patched, fresh)
+
+    def test_pair_shared_by_two_sources_survives_one_deletion(self):
+        """A (prefix, origin) pair declared under two sources stays in the
+        trie until both retire it — whether patch_index reads presence
+        from the replay's route index or scans a snapshot without one."""
+        from repro.ir.model import RouteObject
+
+        prefix = Prefix.parse("203.0.113.0/24")
+        ir = Ir(
+            route_objects=[
+                RouteObject(prefix=prefix, origin=64500, source=source)
+                for source in ("A", "B")
+            ]
+        )
+        index = compile_index(ir)
+        for source, expected in (("A", {64500}), ("B", set())):
+            journal = Journal(
+                entries=[
+                    JournalEntry(
+                        serial=1,
+                        action="DEL",
+                        cls="route",
+                        key=(str(prefix), 64500, source),
+                        source=source,
+                    )
+                ]
+            )
+            new_ir, report = apply_journal_to_ir(ir, journal)
+            assert not report
+            # A copy of the snapshot carries no cached replay index.
+            uncached = Ir(route_objects=list(new_ir.route_objects))
+            for target in (new_ir, uncached):
+                patched = patch_index(index, ir, target, journal)
+                assert patched.route_trie.exact_origins(4, prefix.network, 24) == expected
+            ir, index = new_ir, patch_index(index, ir, new_ir, journal)
 
     def test_unpatchable_key_raises_loudly(self, seed_ir):
         """A key patch_index cannot parse must raise, never guess —

@@ -1,19 +1,24 @@
-"""Property suite for the radix-trie prefix engine.
+"""Property suite for the hash-plane prefix engine.
 
 The contract: :class:`RouteTrie` and :class:`OpTrie` answer every query
 identically to :class:`NaiveRouteIndex` / the dict-walk oracle — the
-pre-trie algorithms preserved verbatim.  Hypothesis drives both engines
-over arbitrary IPv4+IPv6 prefix sets (including the degenerate ``/0``
-and max-length corners) and compares insert/lookup/ancestor/descendant
-answers; the nightly CI profile raises the example budget.
+pre-trie algorithms preserved verbatim in ``prefix_oracle``.  Hypothesis
+drives both engines over arbitrary IPv4+IPv6 prefix sets (including the
+degenerate ``/0`` and max-length corners) and compares
+insert/lookup/ancestor/enumeration answers, on frozen tries and on
+thawed ones after point mutation; the nightly CI profile raises the
+example budget.
 """
 
 import pickle
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from prefix_oracle import NaiveRouteIndex, matches_naive
 
-from repro.core.prefixtrie import NaiveRouteIndex, RouteTrieBuilder
+from repro.core.prefixtrie import RouteTrieBuilder
 from repro.core.query import PrefixOpIndex
 from repro.net.prefix import Prefix, RangeOp, RangeOpKind
 
@@ -94,14 +99,6 @@ def test_exact_and_ancestor_queries_agree(route_pairs, extra):
         assert trie_cover == naive_cover
 
 
-@given(pairs, st.lists(prefixes(), max_size=6))
-def test_descendant_enumeration_agrees(route_pairs, extra):
-    trie, naive = _engines(route_pairs)
-    for probe in _probe_pool(route_pairs, extra):
-        args = (probe.version, probe.network, probe.length)
-        assert dict(trie.covered(*args)) == dict(naive.covered(*args))
-
-
 @given(pairs)
 def test_per_origin_tables_agree(route_pairs):
     trie, naive = _engines(route_pairs)
@@ -142,8 +139,8 @@ def test_prefix_op_index_matches_naive_walk(entries, extra, override):
         index.add(prefix, op)
     probe_pool = [prefix for prefix, _ in entries] + list(extra)
     for probe in probe_pool:
-        assert index.matches(probe, override) == index._matches_naive(
-            probe, override
+        assert index.matches(probe, override) == matches_naive(
+            index, probe, override
         ), (probe, override)
 
 
@@ -160,6 +157,133 @@ def test_prefix_op_index_pickle_compat(entries):
     # the dict view reconstructs from the trie (bounds may clamp at 255,
     # unreachable for real prefixes)
     assert clone.entries.keys() == index.entries.keys()
+
+
+# -- enumeration: one scan of the live hash slots ---------------------------
+
+
+@given(pairs)
+def test_iter_exact_equals_oracle(route_pairs):
+    trie, naive = _engines(route_pairs)
+    entries = list(trie.iter_exact())
+    assert len(entries) == len({key for key, _ in entries})  # each key once
+    assert dict(entries) == dict(naive.iter_exact())
+
+
+@given(st.lists(st.tuples(prefixes(), range_ops()), max_size=50))
+def test_op_trie_iter_entries_equals_oracle(entries):
+    index = PrefixOpIndex()
+    expected: dict = {}
+    for prefix, op in entries:
+        index.add(prefix, op)
+        key = (prefix.version, prefix.network, prefix.length)
+        expected.setdefault(key, []).append(op)
+    enumerated: dict = {}
+    for key, op in index.freeze().iter_entries():
+        enumerated.setdefault(key, []).append(op)
+    assert enumerated == expected
+
+
+# -- thawed tries under point mutation vs the oracle -------------------------
+
+
+def _oracle_of(model: dict) -> NaiveRouteIndex:
+    naive = NaiveRouteIndex()
+    for (version, net, length), origins in model.items():
+        for origin in origins:
+            naive.add(Prefix(version, net, length), origin)
+    return naive
+
+
+def _mutate(trie, model: dict, ops) -> dict:
+    """Apply ``(insert?, prefix, origin)`` ops to a thawed trie and a
+    dict model; count the plane rebuilds each kind of op triggered."""
+    rebuilds = {"insert": 0, "remove": 0}
+    for insert, prefix, origin in ops:
+        fam = trie._fam4 if prefix.version == 4 else trie._fam6
+        before = fam.hval
+        key = (prefix.version, prefix.network, prefix.length)
+        origins = model.get(key, set())
+        if insert:
+            assert trie.insert_route(prefix, origin) == (origin not in origins)
+            model.setdefault(key, set()).add(origin)
+        else:
+            assert trie.remove_route(prefix, origin) == (origin in origins)
+            origins.discard(origin)
+            if not origins:
+                model.pop(key, None)
+        if fam.hval is not before:
+            rebuilds["insert" if insert else "remove"] += 1
+    return rebuilds
+
+
+def _assert_matches_model(trie, model: dict, probes) -> None:
+    naive = _oracle_of(model)
+    assert dict(trie.iter_exact()) == dict(naive.iter_exact())
+    assert trie.stats()["prefixes"] == len(model)
+    assert list(trie.origins()) == list(naive.origins())
+    for probe in probes:
+        args = (probe.version, probe.network, probe.length)
+        assert trie.exact_origins(*args) == naive.exact_origins(*args)
+        cover = {(pl, frozenset(o)) for pl, o in trie.covering_origins(*args)}
+        assert cover == {(pl, frozenset(o)) for pl, o in naive.covering_origins(*args)}
+        for op in (RangeOp(), RangeOp(RangeOpKind.PLUS), RangeOp(RangeOpKind.MINUS)):
+            assert trie.match_any(*args, op) == naive.match_any(*args, op)
+            assert trie.match_origin(3, *args, op) == naive.match_origin(3, *args, op)
+
+
+mutations = st.lists(
+    st.tuples(st.booleans(), prefixes(), st.integers(min_value=1, max_value=4)),
+    max_size=80,
+)
+
+
+@given(pairs, mutations)
+def test_thawed_mutation_sequences_agree(route_pairs, ops):
+    trie, _ = _engines(route_pairs)
+    model: dict = {}
+    for prefix, origin in route_pairs:
+        model.setdefault((prefix.version, prefix.network, prefix.length), set()).add(origin)
+    # Removals mostly target declared pairs, so they hit real entries.
+    declared = [(False, prefix, origin) for prefix, origin in route_pairs]
+    thawed = trie.thaw()
+    _mutate(thawed, model, [*ops[::2], *declared[::3], *ops[1::2]])
+    probes = [prefix for _, prefix, _ in ops] + [prefix for prefix, _ in route_pairs]
+    _assert_matches_model(thawed, model, probes)
+    # The frozen original is untouched by the thawed copy's mutations.
+    assert dict(trie.iter_exact()) == dict(_engines(route_pairs)[1].iter_exact())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutation_crosses_both_rebuild_thresholds(seed):
+    rng = random.Random(seed)
+    pool = []
+    for _ in range(120):
+        version = rng.choice((4, 6))
+        maxlen = 32 if version == 4 else 128
+        length = rng.randint(8, maxlen if version == 4 else 64)
+        network = rng.getrandbits(maxlen) >> (maxlen - length) << (maxlen - length)
+        pool.append(Prefix(version, network, length))
+    builder = RouteTrieBuilder()
+    model: dict = {}
+    for prefix in pool[:20]:
+        builder.add(prefix, 1)
+        model[(prefix.version, prefix.network, prefix.length)] = {1}
+    trie = builder.build().thaw()
+    # Grow to the whole pool (load-factor rebuilds), then shrink to a
+    # handful (tombstone rebuilds), interleaving the other op each time.
+    grow = [(rng.random() < 0.85, rng.choice(pool), rng.randint(1, 3)) for _ in range(600)]
+    shrink = [(rng.random() < 0.1, rng.choice(pool), rng.randint(1, 3)) for _ in range(600)]
+    shrink += [(False, prefix, origin) for prefix in pool[5:] for origin in (1, 2, 3)]
+    grown = _mutate(trie, model, grow)
+    _assert_matches_model(trie, model, pool)
+    shrunk = _mutate(trie, model, shrink)
+    _assert_matches_model(trie, model, pool)
+    assert grown["insert"] >= 1, "no load-factor rebuild"
+    assert shrunk["remove"] >= 1, "no tombstone rebuild"
+    # Patched planes survive the pickle round trip (the artifact path).
+    clone = pickle.loads(pickle.dumps(trie))
+    assert dict(clone.iter_exact()) == dict(trie.iter_exact())
 
 
 # -- degenerate corners (explicit, not property-driven) ---------------------
@@ -194,7 +318,7 @@ def test_empty_trie_answers_negative():
     assert not trie.match_origin(1, 6, 0, 128, RangeOp(RangeOpKind.PLUS))
     assert trie.exact_origins(4, 0, 0) == frozenset()
     assert trie.covering_origins(6, 0, 128) == []
-    assert list(trie.covered(4, 0, 0)) == []
+    assert list(trie.iter_exact()) == []
     assert trie.stats()["prefixes"] == 0
 
 

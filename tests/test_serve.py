@@ -27,6 +27,7 @@ from repro import api
 from repro.irr.whois import whois_query
 from repro.obs import MetricsRegistry, parse_prometheus
 from repro.serve import Query, ServeConfig, ServeDaemon, report_as_dict
+from repro.serve.core import VerifyService
 
 
 def _http(port: int, method: str, path: str, payload: dict | None = None):
@@ -608,6 +609,25 @@ class TestServeTelemetry:
             json.loads(line) for line in slow.read_text().splitlines() if line
         ]
         assert any(r["id"] == rid for r in slow_records)
+
+    def test_default_incident_dir_is_under_the_cache_dir(
+        self, tiny_world, tmp_path, monkeypatch
+    ):
+        """Without an incident_dir, dumps land in <cache dir>/incidents
+        and never in the working directory."""
+        cache = tmp_path / "cache"
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.setenv("RPSLYZER_CACHE_DIR", str(cache))
+        monkeypatch.chdir(work)
+        with api.open_session(
+            tiny_world, registry=MetricsRegistry(), use_cache=False
+        ) as session:
+            service = VerifyService(session, ServeConfig(http_port=None))
+            path = service.flight.dump_incident("probe")
+        assert path is not None and path.exists()
+        assert path.parent == cache / "incidents"
+        assert list(work.iterdir()) == []
 
     def test_worker_pool_stamps_request_id_in_worker_process(
         self, tiny_world, tiny_routes, tmp_path

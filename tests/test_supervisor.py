@@ -262,7 +262,9 @@ class TestSupervisedPool:
 
 @pytest.mark.slow
 class TestGracefulDegradation:
-    def test_budget_exhaustion_degrades_to_serial(self, pool_session, tiny_routes):
+    def test_budget_exhaustion_degrades_to_serial(
+        self, pool_session, tiny_routes, tmp_path
+    ):
         """Kill workers past the restart budget: the pool degrades, the
         daemon keeps answering serially, and /healthz reports 503."""
         daemon = ServeDaemon(
@@ -274,6 +276,7 @@ class TestGracefulDegradation:
                 heartbeat_interval=0.05,
                 heartbeat_timeout=0.5,
                 shed_target=0.0,
+                incident_dir=str(tmp_path),
             ),
         )
         with daemon.start_in_thread() as running:
